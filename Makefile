@@ -78,7 +78,8 @@ smoke:
 	$(REPRO) dse --max-designs 32 --workers 2 --rows 16 --cache-dir .repro-cache
 
 ## Eval-pipeline smoke: the acceptance loop — cold run, then a warm run that
-## must be served entirely from cache, with the per-image bit-identity check.
+## must be served entirely from cache, with the per-image bit-identity check
+## at every fault rate (fault-free and flip_prob 0.05).
 eval-smoke:
-	$(REPRO) eval --max-images 64 --workers 2 --cache-dir .repro-cache --verify-batched
-	$(REPRO) eval --max-images 64 --workers 2 --cache-dir .repro-cache --verify-batched
+	$(REPRO) eval --max-images 64 --workers 2 --cache-dir .repro-cache --flip-probs 0.0 0.05 --verify-batched
+	$(REPRO) eval --max-images 64 --workers 2 --cache-dir .repro-cache --flip-probs 0.0 0.05 --verify-batched

@@ -9,16 +9,16 @@ circuits (the softmax ``x``/``y`` streams, the GELU input/output streams)
 can be routed through :meth:`perturb_stream`, which
 
 1. packs the batch's one-counts into a :class:`~repro.sc.packed.PackedBitPlane`
-   (one vectorised op per site per batch — no per-image packing),
-2. XORs a Bernoulli(``flip_prob``) mask plane onto the words, and
+   (one table lookup per site per batch — no per-image packing),
+2. draws the batch's Bernoulli(``flip_prob``) mask plane in **one kernel
+   call per site** and XORs it onto the words, and
 3. popcounts back to one-counts.
 
-The data-stream packing, the XOR and the popcount are batched; the *mask
-draws* are per image by design — each image's mask must come from its own
-generator so that batch composition can never change the draws (the
-chunk-invariance contract below).  The per-image cost is one uniform draw
-per stream bit at the site, which at the circuits' BSLs is far below the
-cost of the forward pass being perturbed.
+The mask draws stay per image by design — each image's rows of the mask
+come from its own generator, passed to the kernel as a sequence of
+generators, so batch composition can never change the draws (the
+chunk-invariance contract below).  The cost is one uniform draw per stream
+bit at the site plus one generator seeding per image and site.
 
 Step 3 models the re-canonicalisation the hardware performs for free: every
 stream is re-sorted by the next bitonic sorting network, and a sorted
@@ -104,16 +104,15 @@ class BitFlipFaultModel:
                 f"of {len(self._image_seeds)} images"
             )
         plane = PackedBitPlane.from_thermometer_counts(counts, length)
-        # The mask is assembled per image (each from its own generator, so
-        # chunking cannot change the draws) but applied as one word-wise XOR
-        # + popcount over the whole batch.
-        per_image_shape = counts.shape[1:]
-        mask_words = np.empty_like(plane.words)
-        for row, image_seed in enumerate(self._image_seeds):
-            rng = np.random.default_rng(derive_seed(int(image_seed), site))
-            mask_words[row] = PackedBitPlane.random(per_image_shape, length, self.flip_prob, rng).words
-        flipped = plane ^ PackedBitPlane(mask_words, length)
-        return flipped.popcount()
+        # Each image's mask comes from its own generator (so chunking cannot
+        # change the draws), but the whole batch's mask is one kernel call
+        # and is applied as one word-wise XOR + popcount.
+        rngs = [
+            np.random.default_rng(derive_seed(int(image_seed), site))
+            for image_seed in self._image_seeds
+        ]
+        mask = PackedBitPlane.random(counts.shape, length, self.flip_prob, rngs)
+        return (plane ^ mask).popcount()
 
     def perturb_stream(self, stream: ThermometerStream) -> ThermometerStream:
         """Stream-level wrapper around :meth:`perturb_counts`."""

@@ -18,9 +18,15 @@ enforce this.
 
 from __future__ import annotations
 
-from typing import Tuple
+import math
+from typing import Sequence, Tuple, Union
 
 import numpy as np
+
+#: Uniforms drawn per chunk by the reference ``bernoulli_plane`` (a 256 KB
+#: float64 scratch buffer, allocated per call so concurrent callers never
+#: share one).
+BERNOULLI_CHUNK = 1 << 15
 
 
 class KernelBackend:
@@ -105,7 +111,11 @@ class KernelBackend:
 
     # ------------------------------------------------------ plane generation
     def bernoulli_plane(
-        self, value_shape: Tuple[int, ...], length: int, probs, rng: np.random.Generator
+        self,
+        value_shape: Tuple[int, ...],
+        length: int,
+        probs,
+        rng: Union[np.random.Generator, Sequence[np.random.Generator]],
     ):
         """Packed plane of Bernoulli draws: bit ``t`` of value ``v`` is
         ``rng.random() < probs[v]``.
@@ -115,13 +125,82 @@ class KernelBackend:
         implementation always has, so seeded streams are reproducible across
         versions *and* backends.  ``probs`` is a scalar or an array of shape
         ``value_shape``.
-        """
-        from repro.sc.packed import PackedBitPlane
 
-        draws = rng.random(tuple(value_shape) + (length,))
+        ``rng`` may also be a sequence of generators, one per index of
+        ``value_shape[0]``: generator ``i`` then draws the values under index
+        ``i``, so the plane equals stacking the per-index single-generator
+        planes (the per-image fault masks draw this way in one call).
+
+        Draws are taken ``BERNOULLI_CHUNK`` uniforms at a time into a per-call
+        scratch buffer with ``Generator.random(out=...)``, which consumes
+        exactly what one contiguous draw would.  Each chunk is compared in
+        place and packed straight into the ``ceil(L / 8)`` live bytes of its
+        streams' words.
+        """
+        from repro.sc.packed import _NATIVE_LITTLE_ENDIAN, PackedBitPlane, _words_for
+
+        value_shape = tuple(value_shape)
+        if isinstance(rng, np.random.Generator):
+            rngs = [rng]
+            rows_per_rng = math.prod(value_shape)
+        else:
+            rngs = list(rng)
+            if not value_shape or len(rngs) != value_shape[0]:
+                raise ValueError(
+                    f"need one generator per index of axis 0 of {value_shape}, "
+                    f"got {len(rngs)}"
+                )
+            rows_per_rng = math.prod(value_shape[1:])
+        rows = rows_per_rng * len(rngs)
+        num_words = _words_for(length)
+        words = np.zeros((rows, num_words), dtype=np.uint64)
         p = np.asarray(probs, dtype=float)
-        bits = draws < (p[..., None] if p.ndim else p)
-        return PackedBitPlane.from_bits(bits)
+        if p.ndim and p.shape != value_shape:
+            p = np.broadcast_to(p, value_shape)
+        p_rows = p.reshape(rows, 1) if p.ndim else p
+
+        # Streams of 1, 2, 4 or 8 bits share bytes: one flat compare + packbits
+        # puts ``8 // L`` streams in each byte, which are then shifted out
+        # into their words.  Other lengths pad each row to whole bytes in the
+        # bit buffer (the pad columns are never written, so they stay zero)
+        # and land in the words' byte view.
+        per_byte = 8 // length if 8 % length == 0 else 0
+        live_bytes = (length + 7) // 8
+        chunk_rows = max(1, BERNOULLI_CHUNK // length)
+        buffer_rows = min(chunk_rows, rows)
+        draws = np.empty(buffer_rows * length)
+        if per_byte:
+            bits = np.zeros(-(-buffer_rows * length // 8) * 8, dtype=bool)
+        else:
+            bits = np.zeros((buffer_rows, live_bytes * 8), dtype=bool)
+            word_bytes = words.view(np.uint8)
+        field = np.uint8((1 << length) - 1) if per_byte else None
+        for start in range(0, rows, chunk_rows):
+            stop = min(start + chunk_rows, rows)
+            n = stop - start
+            row = start
+            while row < stop:
+                index = row // rows_per_rng
+                seg_stop = min(stop, (index + 1) * rows_per_rng)
+                rngs[index].random(out=draws[(row - start) * length:(seg_stop - start) * length])
+                row = seg_stop
+            chunk_draws = draws[: n * length].reshape(n, length)
+            chunk_p = p_rows[start:stop] if p.ndim else p
+            if per_byte:
+                live_bits = -(-n * length // 8) * 8
+                np.less(chunk_draws, chunk_p, out=bits[: n * length].reshape(n, length))
+                bits[n * length:live_bits] = False
+                packed = np.packbits(bits[:live_bits], bitorder="little")
+                for j in range(per_byte):
+                    lane = words[start + j:stop:per_byte, 0]
+                    lane[:] = (packed[: lane.size] >> np.uint8(j * length)) & field
+            else:
+                np.less(chunk_draws, chunk_p, out=bits[:n, :length])
+                packed = np.packbits(bits[:n], bitorder="little")
+                word_bytes[start:stop, :live_bytes] = packed.reshape(n, live_bytes)
+        if not per_byte and not _NATIVE_LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts
+            words = words.byteswap()
+        return PackedBitPlane(words.reshape(value_shape + (num_words,)), length)
 
     def select_plane(self, value_shape: Tuple[int, ...], length: int, rng: np.random.Generator):
         """Packed fair-coin select plane for the MUX scaled adder.

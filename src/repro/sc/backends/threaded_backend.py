@@ -273,11 +273,12 @@ class ThreadedBackend(KernelBackend):
         return out.reshape(a.shape[:-1])
 
     # ------------------------------------------------------ plane generation
-    def bernoulli_plane(
-        self, value_shape: Tuple[int, ...], length: int, probs, rng: np.random.Generator
-    ):
-        from repro.sc.packed import PackedBitPlane, WORD_BITS, _words_for
+    def bernoulli_plane(self, value_shape: Tuple[int, ...], length: int, probs, rng):
+        from repro.sc.packed import PackedBitPlane, _words_for
 
+        # A sequence of per-index generators goes to the reference kernel.
+        if not isinstance(rng, np.random.Generator):
+            return super().bernoulli_plane(value_shape, length, probs, rng)
         value_shape = tuple(value_shape)
         rows = int(np.prod(value_shape, dtype=np.int64)) if value_shape else 1
         total = rows * length

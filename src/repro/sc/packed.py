@@ -29,7 +29,7 @@ actually asks for them.
 from __future__ import annotations
 
 import sys
-from typing import Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,6 +49,10 @@ _POPCOUNT_LUT = np.unpackbits(
 ).sum(axis=1).astype(np.uint8)
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: ``_LEADING_ONES[k]`` is a word whose low ``k`` bits are set, for k in 0..64
+#: (the packed word of a thermometer run of ``k`` ones).
+_LEADING_ONES = np.array([(1 << k) - 1 for k in range(WORD_BITS + 1)], dtype=np.uint64)
 
 
 def _words_for(length: int) -> int:
@@ -108,12 +112,11 @@ class PackedBitPlane:
         # Enforce the zero-tail invariant on externally supplied words so
         # popcounts/decodes can never see phantom bits.  Internal ops always
         # hand over clean tails, so the common case is one cheap reduction.
+        # A last word with any tail bit set exceeds the mask.
         mask = tail_mask(length)
-        if mask != _ALL_ONES and words.size:
-            dirty = words[..., -1] & ~mask
-            if np.any(dirty):
-                words = words.copy()
-                words[..., -1] &= mask
+        if mask != _ALL_ONES and words.size and words[..., -1].max() > mask:
+            words = words.copy()
+            words[..., -1] &= mask
         self.words = words
         self.length = int(length)
 
@@ -157,32 +160,31 @@ class PackedBitPlane:
         """Pack a batch of thermometer streams directly from their one-counts.
 
         A thermometer stream with one-count ``c`` has its first ``c`` bits set,
-        so each packed word can be computed arithmetically: word ``w`` holds
-        ``min(max(c - 64w, 0), 64)`` leading 1s.  This builds the plane without
-        ever materialising the ``value_shape + (length,)`` bit array, which is
-        what makes whole-split fault-injection sweeps affordable — packing is
-        one vectorised op per batch, not per stream.
+        so word ``w`` holds ``min(max(c - 64w, 0), 64)`` leading 1s, looked up
+        in a 65-entry table.  This builds the plane without ever materialising
+        the ``value_shape + (length,)`` bit array, which is what makes
+        whole-split fault-injection sweeps affordable — packing is one
+        vectorised op per batch, not per stream.
         """
         counts = np.asarray(counts)
         if counts.size and (counts.min() < 0 or counts.max() > length):
             raise ValueError(f"counts must lie in [0, {length}]")
+        counts = counts.astype(np.intp, copy=False)
         num_words = _words_for(length)
-        word_base = np.arange(num_words, dtype=np.int64) * WORD_BITS
-        in_word = np.clip(counts[..., None].astype(np.int64) - word_base, 0, WORD_BITS)
-        # (1 << 64) overflows a uint64 shift, so full words are patched in
-        # afterwards instead of shifted into existence.
-        partial = in_word.astype(np.uint64)
-        words = np.where(
-            in_word >= WORD_BITS,
-            _ALL_ONES,
-            (np.uint64(1) << (partial % np.uint64(WORD_BITS))) - np.uint64(1),
-        )
-        words[..., -1] &= tail_mask(length)
-        return cls(words, length)
+        if num_words == 1:
+            # c <= length <= 64, so the tail past ``length`` is already zero.
+            return cls(_LEADING_ONES[counts][..., None], length)
+        word_base = np.arange(num_words, dtype=np.intp) * WORD_BITS
+        in_word = np.clip(counts[..., None] - word_base, 0, WORD_BITS)
+        return cls(_LEADING_ONES[in_word], length)
 
     @classmethod
     def random(
-        cls, value_shape: Tuple[int, ...], length: int, p: float, rng: np.random.Generator
+        cls,
+        value_shape: Tuple[int, ...],
+        length: int,
+        p: float,
+        rng: Union[np.random.Generator, Sequence[np.random.Generator]],
     ) -> "PackedBitPlane":
         """Plane whose bits are independent Bernoulli(``p``) draws.
 
@@ -190,6 +192,8 @@ class PackedBitPlane:
         stream bit flips with probability ``p``; tail bits stay zero.  Draws
         consume ``prod(value_shape) * length`` uniforms from ``rng`` in C
         order, so the plane is a pure function of the generator state.
+        ``rng`` may be a sequence of generators, one per index of
+        ``value_shape[0]`` (see ``KernelBackend.bernoulli_plane``).
         """
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")

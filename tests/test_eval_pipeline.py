@@ -193,6 +193,30 @@ class TestBitFlipFaultModel:
         # p=1 flips every bit: count c becomes 16 - c.
         assert np.array_equal(out, 16 - counts)
 
+    def test_masks_are_pinned_on_production_site_shapes(self):
+        """The fault masks' bits (and so their RNG consumption) never move.
+
+        Covers the SC-ViT's four site shapes: softmax ``x``/``y`` streams
+        ``(B, heads, tokens, tokens)`` at L=4 and L=8, GELU input/output
+        streams ``(B, tokens, hidden)`` at L=128 and L=4.  The digest was
+        recorded on the per-image mask loop this kernel path replaced.
+        """
+        import hashlib
+
+        sites = (((4, 17, 17), 4), ((4, 17, 17), 8), ((17, 64), 128), ((17, 64), 4))
+        indices = [0, 1, 513, 1023]
+        model = BitFlipFaultModel(0.05, seed=0)
+        model.begin_batch(indices)
+        digest = hashlib.sha256()
+        gen = np.random.default_rng(2024)
+        for shape, length in sites:
+            counts = gen.integers(0, length + 1, size=(len(indices),) + shape)
+            out = model.perturb_counts(counts, length)
+            digest.update(np.ascontiguousarray(out, dtype=np.int64).tobytes())
+        assert digest.hexdigest() == (
+            "993927881927f7e5fa6edc6da98506b30afbdd7fc0d64cc90f238ba43dab62b0"
+        )
+
     def test_requires_begin_batch(self):
         model = BitFlipFaultModel(0.5, seed=0)
         with pytest.raises(RuntimeError):

@@ -142,6 +142,60 @@ def test_threaded_multiworker_bit_identity():
         threaded.close()
 
 
+def _assert_generator_sequence_form_matches_rows(backend: KernelBackend) -> None:
+    """One call with a generator per row equals stacking per-row calls."""
+    ref = get_backend("numpy")
+    shape = (4, 3, 5)
+    for length in (1, 3, 4, 8, 13, 63, 64, 65, 128, 256):
+        per_value = np.random.default_rng(length).random(shape)
+        for probs in (0.3, per_value):
+            gens = [np.random.default_rng(100 + i) for i in range(shape[0])]
+            row_gens = [np.random.default_rng(100 + i) for i in range(shape[0])]
+            got = backend.bernoulli_plane(shape, length, probs, gens)
+            rows = [
+                ref.bernoulli_plane(shape[1:], length, probs if np.ndim(probs) == 0 else probs[i], g)
+                for i, g in enumerate(row_gens)
+            ]
+            assert np.array_equal(got.words, np.stack([r.words for r in rows])), length
+            for g, row_g in zip(gens, row_gens):
+                assert g.bit_generator.state == row_g.bit_generator.state, length
+
+
+@pytest.mark.parametrize("backend", IDENTITY_BACKENDS)
+def test_bernoulli_plane_generator_sequence_matches_per_row_calls(backend):
+    _assert_generator_sequence_form_matches_rows(get_backend(backend))
+
+
+def test_bernoulli_plane_generator_sequence_multiworker():
+    threaded = ThreadedBackend(workers=3)
+    try:
+        _assert_generator_sequence_form_matches_rows(threaded)
+    finally:
+        threaded.close()
+
+
+def test_bernoulli_plane_chunking_matches_one_contiguous_draw():
+    """Draws taken chunk by chunk reproduce one ``rng.random`` call exactly."""
+    backend = get_backend("numpy")
+    for shape, length in (((700, 5), 64), ((3, 1), 40000), ((9000,), 4)):
+        probs = np.random.default_rng(1).random(shape)
+        rng = np.random.default_rng(2)
+        got = backend.bernoulli_plane(shape, length, probs, rng)
+        ref_rng = np.random.default_rng(2)
+        explicit = ref_rng.random(shape + (length,)) < probs[..., None]
+        assert np.array_equal(got.words, PackedBitPlane.from_bits(explicit).words)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_bernoulli_plane_generator_sequence_must_match_leading_axis():
+    backend = get_backend("numpy")
+    gens = [np.random.default_rng(i) for i in range(2)]
+    with pytest.raises(ValueError):
+        backend.bernoulli_plane((3, 4), 8, 0.5, gens)
+    with pytest.raises(ValueError):
+        backend.bernoulli_plane((), 8, 0.5, gens)
+
+
 def test_raw_select_buffer_carry_matches_canonical():
     """The odd-draw half-word write-back leaves the generator exactly where
     numpy's canonical bounded draw would."""

@@ -277,11 +277,32 @@ class TestThermometerPackingHelpers:
         assert np.array_equal(plane.words, reference.words)
         assert np.array_equal(plane.popcount(), counts)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.int64])
+    @pytest.mark.parametrize("length", [1, 4, 8, 64, 65, 127, 128])
+    def test_from_thermometer_counts_dtypes_and_shapes(self, dtype, length):
+        top = min(length, np.iinfo(dtype).max)
+        counts = np.random.default_rng(length).integers(0, top + 1, size=(2, 3, 5)).astype(dtype)
+        plane = PackedBitPlane.from_thermometer_counts(counts, length)
+        explicit = (np.arange(length) < counts[..., None].astype(np.int64)).astype(np.int8)
+        assert plane.words.shape == (2, 3, 5, (length + 63) // 64)
+        assert np.array_equal(plane.words, PackedBitPlane.from_bits(explicit).words)
+        assert np.array_equal(plane.popcount(), counts)
+
+    @pytest.mark.parametrize("length", [4, 128])
+    def test_from_thermometer_counts_empty(self, length):
+        for shape in ((0,), (2, 0, 3)):
+            plane = PackedBitPlane.from_thermometer_counts(np.zeros(shape, np.int32), length)
+            assert plane.words.shape == shape + ((length + 63) // 64,)
+
     def test_from_thermometer_counts_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             PackedBitPlane.from_thermometer_counts(np.array([5]), 4)
         with pytest.raises(ValueError):
             PackedBitPlane.from_thermometer_counts(np.array([-1]), 4)
+        with pytest.raises(ValueError):
+            PackedBitPlane.from_thermometer_counts(np.array([[0], [-1]], dtype=np.int8), 4)
+        with pytest.raises(ValueError):
+            PackedBitPlane.from_thermometer_counts(np.array([65], dtype=np.uint16), 64)
 
     @given(length=LENGTHS, seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

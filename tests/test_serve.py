@@ -557,6 +557,24 @@ class TestPipelineEngine:
         for output in outputs:
             assert np.array_equal(output, offline_predictions[0.0])
 
+    def test_faulted_workers_produce_identical_replicas(self, stack, offline_predictions):
+        """Faulted replicas share the kernel backend concurrently; the mask
+        kernel's scratch buffers are per call, so every thread still serves
+        the offline fault pattern."""
+        _, test, _ = stack
+        engine = _engine(stack, flip_prob=0.05, workers=3)
+        engine.start()
+        try:
+            futures = [
+                engine.executor.submit(engine.run, test.images[:NUM_IMAGES], np.arange(NUM_IMAGES))
+                for _ in range(6)
+            ]
+            outputs = [future.result() for future in futures]
+        finally:
+            engine.close()
+        for output in outputs:
+            assert np.array_equal(output, offline_predictions[0.05])
+
 
 # ---------------------------------------------------------------------------
 # Transports
