@@ -166,10 +166,11 @@ class ScViTEvalPipeline:
         """
         hook = self._stream_hook if self.fault_model is not None else None
         out = self.softmax_circuit.forward(scores.data, stream_hook=hook)
-        out = np.clip(out, 0.0, None)
+        out = np.maximum(out, 0.0)
         row_sum = out.sum(axis=-1, keepdims=True)
-        uniform = np.full_like(out, 1.0 / out.shape[-1])
-        out = np.where(row_sum > 0, out / np.maximum(row_sum, 1e-9), uniform)
+        out /= np.maximum(row_sum, 1e-9)
+        # A row the circuit zeroed out entirely falls back to uniform.
+        out[~(row_sum[..., 0] > 0)] = 1.0 / out.shape[-1]
         return Tensor(out)
 
     def _batched_gelu(self, x: Tensor) -> Tensor:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.numeric import round_half_away_from_zero
 from repro.utils.validation import check_positive_int
 
 
@@ -66,12 +65,18 @@ def thermometer_encode_counts(values: np.ndarray, length: int, scale: float) -> 
 
     Returns integer counts in ``[0, length]``; values outside the
     representable range saturate (the hardware clamps the same way).
+
+    Rounding is half away from zero
+    (:func:`repro.utils.numeric.round_half_away_from_zero`).
+    For ``v >= 0`` that is ``floor(v + 0.5)``; a negative ``v`` rounds to a
+    non-positive count under either form, which the clip sends to 0, so the
+    short form below equals the clipped general one for every input.
     """
     check_positive_int(length, "length")
     if scale <= 0:
         raise ValueError("scale must be positive")
     arr = np.asarray(values, dtype=float)
-    counts = round_half_away_from_zero(arr / scale + length / 2.0)
+    counts = np.floor(arr / scale + length / 2.0 + 0.5)
     return np.clip(counts, 0, length).astype(np.int64)
 
 

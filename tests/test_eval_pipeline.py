@@ -125,6 +125,47 @@ class TestChunkInvariance:
         assert np.array_equal(before, after)
 
 
+class IdentityCircuit:
+    """Stands in for the softmax circuit so the output rescale sees chosen rows."""
+
+    def forward(self, x, stream_hook=None):
+        return np.array(x, dtype=float)
+
+
+class TestBatchedSoftmaxRescale:
+    @pytest.fixture
+    def pipeline(self, eval_setup):
+        pipeline = ScViTEvalPipeline(
+            eval_setup["model"], make_softmax_config(),
+            calibration_logits=eval_setup["calibration"],
+        )
+        pipeline.softmax_circuit = IdentityCircuit()
+        return pipeline
+
+    def test_all_zero_rows_fall_back_to_uniform(self, pipeline):
+        circuit_out = np.array([[
+            [0.0, 0.0, 0.0, 0.0],
+            [-0.5, -1.0, 0.0, -0.25],  # clamps to an all-zero row
+            [0.25, -0.5, 0.75, 0.0],
+        ]])
+        out = pipeline._batched_softmax(Tensor(circuit_out)).data
+        assert np.array_equal(out[0, 0], np.full(4, 0.25))
+        assert np.array_equal(out[0, 1], np.full(4, 0.25))
+        assert np.array_equal(out[0, 2], [0.25, 0.0, 0.75, 0.0])
+
+    def test_matches_clamp_where_reference_bit_for_bit(self, pipeline):
+        circuit_out = np.random.default_rng(0).integers(-3, 6, size=(4, 2, 5, 5)) * 0.0625
+        circuit_out[0, 1, 2] = 0.0
+        circuit_out[3, 0, 4] = -0.0625
+        clamped = np.clip(circuit_out, 0.0, None)
+        row_sum = clamped.sum(axis=-1, keepdims=True)
+        expected = np.where(
+            row_sum > 0, clamped / np.maximum(row_sum, 1e-9), np.full_like(clamped, 0.2)
+        )
+        out = pipeline._batched_softmax(Tensor(circuit_out)).data
+        assert out.tobytes() == expected.tobytes()
+
+
 class TestBatchInvariantMatmul:
     def test_forward_is_chunk_invariant_under_the_context(self, eval_setup):
         model = eval_setup["model"]

@@ -14,6 +14,7 @@ from repro.sc.encodings import (
     unipolar_decode,
     unipolar_encode,
 )
+from repro.utils.numeric import round_half_away_from_zero
 
 
 class TestUnipolarBipolar:
@@ -93,6 +94,41 @@ class TestThermometerCounts:
         else:
             # saturation: decoded value sits at the representable extreme
             assert abs(decoded[0]) == pytest.approx(max_abs)
+
+
+def clipped_half_away_counts(values, length, scale):
+    """The general form: round half away from zero, then saturate."""
+    shifted = np.asarray(values, dtype=float) / scale + length / 2.0
+    return np.clip(round_half_away_from_zero(shifted), 0, length).astype(np.int64)
+
+
+class TestThermometerEncodeShortForm:
+    """``clip(floor(v + 0.5))`` equals the clipped half-away-from-zero rounding."""
+
+    @pytest.mark.parametrize("length", [7, 8])
+    def test_ties_signed_zero_infinities_and_subnormals(self, length):
+        ties = np.arange(-length - 3, length + 3) + 0.5
+        tiny = np.finfo(float).tiny
+        specials = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, tiny / 2, -tiny / 2]
+        shifted = np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)])
+        values = np.concatenate([shifted - length / 2.0, specials, np.array(specials) - length / 2.0])
+        assert np.array_equal(
+            thermometer_encode_counts(values, length, 1.0),
+            clipped_half_away_counts(values, length, 1.0),
+        )
+
+    @given(
+        values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=16),
+        length=st.integers(1, 64),
+        scale=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_general_form(self, values, length, scale):
+        with np.errstate(over="ignore"):  # huge values / small scales saturate via inf
+            assert np.array_equal(
+                thermometer_encode_counts(values, length, scale),
+                clipped_half_away_counts(values, length, scale),
+            )
 
 
 class TestThermometerBits:
