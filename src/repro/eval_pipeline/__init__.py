@@ -17,9 +17,10 @@ makes that claim a first-class, reproducible experiment:
   crash-resume, plus the canonical :func:`eval_grid` builder.
 
 Entry points: ``python -m repro eval`` (CLI),
-``benchmarks/bench_eval_accuracy.py`` (the ACC_sc_vit.json trajectory) and
-the :class:`repro.core.sc_vit.ScViTEvaluator` shim for the historical API.
-See ``docs/evaluation.md``.
+``benchmarks/bench_eval_accuracy.py`` (the ACC_sc_vit.json trajectory),
+and the Table VI and co-design drivers (:class:`repro.runner.tasks.Table6Task`,
+:class:`repro.core.codesign.CodesignDriver`), which evaluate through
+:class:`ScViTEvalPipeline` directly.  See ``docs/evaluation.md``.
 """
 
 from repro.eval_pipeline.faults import BitFlipFaultModel

@@ -1,11 +1,9 @@
 """Streaming, batched end-to-end evaluation of the SC-patched ViT.
 
-The seed evaluator (:class:`repro.core.sc_vit.ScViTEvaluator`) proved the
-paper's accuracy claim but was built image-batch-at-a-time around a scalar
-calling convention: attention rows were flattened per call, results never
-left the process, and nothing guaranteed that two different chunkings of the
-same split produced the same numbers.  This module is the subsystem that
-replaces it underneath (the evaluator is now a thin shim):
+The one evaluator of the SC-patched ViT (what the accuracy column of
+Table VI measures): every attention softmax runs through the iterative SC
+softmax circuit and, optionally, every GELU through a gate-assisted SI
+block, with these properties:
 
 * **batched substitution** — the circuit-level softmax runs directly on the
   ``(batch, heads, tokens, m)`` score tensor and the SI GELU on the whole
@@ -87,7 +85,7 @@ class ScViTEvalPipeline:
     softmax_config:
         Softmax circuit configuration; ``m`` is clamped to the model's token
         count and ``alpha_x`` calibrated on attention logits unless
-        ``calibrate`` is disabled (same protocol as the seed evaluator).
+        ``calibrate`` is disabled.
     gelu_output_bsl:
         Optional output BSL routing every GELU through a gate-assisted SI
         block; ``None`` keeps the exact GELU (the Table VI setting).
@@ -99,7 +97,9 @@ class ScViTEvalPipeline:
         Default chunk size of :meth:`iter_batches`/:meth:`evaluate`.  Pure
         throughput/memory knob: results are bit-identical for any value.
     calibration_images / calibration_logits / calibrate:
-        ``alpha_x`` calibration inputs, identical to the seed evaluator's.
+        ``alpha_x`` calibration inputs: pre-collected attention logits, or
+        images to collect them from.  Several pipelines over one model
+        (a config sweep) can share one set of logits.
     backend:
         Optional SC kernel backend name (:mod:`repro.sc.backends`); every
         forward runs under ``use_backend(backend)``.  Backends are
@@ -134,7 +134,7 @@ class ScViTEvalPipeline:
             config = config.with_updates(alpha_x=calibrate_alpha_x(calibration_logits, config.bx))
         # Circuit implementations come through the block registry — this
         # module never imports repro.core, which is what keeps the layering
-        # acyclic (repro.core.sc_vit imports this module at module level).
+        # acyclic (repro.core.codesign imports this module at module level).
         # The handles kept here are the registry adapters themselves; every
         # attribute used below (forward/config, evaluate/process and the
         # declared stream formats) is part of their public surface.
@@ -161,8 +161,8 @@ class ScViTEvalPipeline:
 
         Runs the emulation on ``(batch, heads, tokens, m)`` directly — one
         call per layer per batch — then applies the accelerator's output
-        clamp-and-rescale, exactly as the seed evaluator did per flattened
-        row (the operations are rowwise, so the numbers are identical).
+        clamp-and-rescale (the operations are rowwise, so the numbers equal
+        a per-row evaluation).
         """
         hook = self._stream_hook if self.fault_model is not None else None
         out = self.softmax_circuit.forward(scores.data, stream_hook=hook)

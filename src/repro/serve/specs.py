@@ -21,9 +21,10 @@ threads it through :func:`repro.sc.backends.use_backend`), which keeps the
 spec layer importable without pulling in the SC engine.
 
 The JSON envelope is ``{"kind": "serve/deployment", "params": {...}}``;
-params omitted from a file take the dataclass defaults, which match the
-``repro serve`` CLI defaults exactly (the flags are now a thin shim that
-builds one of these).
+params omitted from a file take the dataclass defaults, and ``repro
+serve`` without ``--spec`` serves ``ServeSpec()``.  A spec file is the
+only input to ``repro serve``, so every field is type-checked as given:
+nothing is coerced, which keeps JSON round trips byte-exact.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ _ENGINES = ("thread", "process", "fabric")
 _TRANSPORTS = ("stdio", "http")
 
 
+def _check_type(spec: "ServeSpec", expected: tuple, label: str, *names: str) -> None:
+    """Reject a field of the wrong JSON type; a ``bool`` is never a number."""
+    for name in names:
+        value = getattr(spec, name)
+        if isinstance(value, bool) != (bool in expected) or not isinstance(value, expected):
+            raise ValueError(f"{name} must be {label}, got {value!r}")
+
+
 def _check_positive(spec: "ServeSpec", *names: str) -> None:
     for name in names:
         value = getattr(spec, name)
@@ -62,7 +71,7 @@ class ServeSpec:
       fingerprints: the *engine version* hashes weights and circuits, not
       labels).
     * model — the synthetic dataset + ViT geometry + optional checkpoint
-      (mirrors ``repro serve``'s model flags).
+      (built by :func:`repro.serve.deploy.build_model`).
     * circuit — softmax BSL/sub-sampling/iterations, GELU routing, fault
       injection, and the SC kernel ``backend`` name
       (:mod:`repro.sc.backends`; ``None`` = process default).  Backends
@@ -131,6 +140,19 @@ class ServeSpec:
     telemetry: bool = False
 
     def __post_init__(self) -> None:
+        _check_type(
+            self, (str,), "a string",
+            "name", "description", "dataset", "engine", "cache_dir", "transport", "host",
+        )
+        # Type-only check for backend, same layering rationale as
+        # BlockSpec.backend: name resolution belongs to build time
+        # (repro.serve.deploy), so the spec layer stays importable without
+        # the SC engine.
+        _check_type(self, (str, type(None)), "a string or null", "checkpoint", "backend")
+        _check_type(self, (int,), "an int", "data_seed", "model_seed", "fault_seed", "port")
+        _check_type(self, (int, type(None)), "an int or null", "gelu_bsl", "max_shards")
+        _check_type(self, (int, float), "a number", "flip_prob", "max_wait_ms", "timeout_s")
+        _check_type(self, (bool,), "a bool", "cache", "telemetry")
         if self.dataset not in _DATASETS:
             raise ValueError(f"dataset must be one of {_DATASETS}, got {self.dataset!r}")
         if self.engine not in _ENGINES:
@@ -143,30 +165,20 @@ class ServeSpec:
             "by", "s1", "s2", "k", "workers", "max_batch", "max_queue",
             "scale_up_queue_depth",
         )
-        if self.gelu_bsl is not None and (not isinstance(self.gelu_bsl, int) or self.gelu_bsl <= 0):
+        if self.gelu_bsl is not None and self.gelu_bsl <= 0:
             raise ValueError(f"gelu_bsl must be a positive int or null, got {self.gelu_bsl!r}")
-        if not 0.0 <= float(self.flip_prob) < 1.0:
+        if not 0.0 <= self.flip_prob < 1.0:
             raise ValueError(f"flip_prob must be in [0, 1), got {self.flip_prob!r}")
-        if float(self.max_wait_ms) < 0.0:
+        if self.max_wait_ms < 0.0:
             raise ValueError(f"max_wait_ms must be non-negative, got {self.max_wait_ms!r}")
-        if float(self.timeout_s) <= 0.0:
+        if self.timeout_s <= 0.0:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s!r}")
-        if self.max_shards is not None:
-            if not isinstance(self.max_shards, int) or self.max_shards < self.workers:
-                raise ValueError(
-                    f"max_shards must be >= workers ({self.workers}), got {self.max_shards!r}"
-                )
-        # Type-only check, same layering rationale as BlockSpec.backend:
-        # name resolution belongs to build time (repro.serve.deploy), so the
-        # spec layer stays importable without the SC engine.
-        if self.backend is not None and not isinstance(self.backend, str):
-            raise ValueError(f"backend must be a string or null, got {self.backend!r}")
-        if self.checkpoint is not None and not isinstance(self.checkpoint, str):
-            raise ValueError(f"checkpoint must be a path string or null, got {self.checkpoint!r}")
-        if not 0 <= int(self.port) <= 65535:
+        if self.max_shards is not None and self.max_shards < self.workers:
+            raise ValueError(
+                f"max_shards must be >= workers ({self.workers}), got {self.max_shards!r}"
+            )
+        if not 0 <= self.port <= 65535:
             raise ValueError(f"port must be in [0, 65535], got {self.port!r}")
-        if not isinstance(self.telemetry, bool):
-            raise ValueError(f"telemetry must be a bool, got {self.telemetry!r}")
 
     # ------------------------------------------------------------- round trip
     def to_dict(self) -> Dict[str, Any]:

@@ -150,9 +150,9 @@ async def handle_jsonl_connection(
 async def serve_stdio(service: InferenceService) -> None:
     """Serve JSON-lines over stdin/stdout until EOF.
 
-    ``python -m repro serve --transport stdio``: the simplest way to drive
-    the batcher from another process (or a shell pipeline) with zero
-    network surface.  stdin is read on an executor thread so platforms
+    ``python -m repro serve`` with a ``"transport": "stdio"`` spec (the
+    default): the simplest way to drive the batcher from another process
+    (or a shell pipeline) with zero network surface.  stdin is read on an executor thread so platforms
     without pipe-transport support (and plain files) work identically.
     """
     loop = asyncio.get_running_loop()

@@ -27,18 +27,21 @@ from repro.runner.cache import ResultCache
 from repro.serve import (
     DynamicBatcher,
     InferenceService,
+    PipelineEngine,
     PredictionCache,
+    ReplicaFactory,
     RequestTimeout,
+    ServeSpec,
     ServiceClosed,
     ServiceOverloaded,
     ServiceStats,
-    build_engine,
+    ShardedProcessEngine,
     pipeline_fingerprint,
     request_fingerprint,
 )
 from repro.serve.batcher import SHUTDOWN
 from repro.serve.transport import handle_jsonl_connection, handle_message, serve_http
-from repro.training.datasets import SyntheticImageDataset
+from repro.training.datasets import DatasetSplit, SyntheticImageDataset
 
 SOFTMAX = SoftmaxCircuitConfig(m=64, iterations=2, bx=4, alpha_x=1.0, by=8, alpha_y=0.03, s1=16, s2=4)
 GELU_BSL = 4
@@ -76,10 +79,11 @@ def offline_predictions(stack):
 
 def _engine(stack, flip_prob=0.0, workers=1):
     model, _, calibration = stack
-    return build_engine(
+    factory = ReplicaFactory(
         model, SOFTMAX, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob,
-        fault_seed=FAULT_SEED, calibration_logits=calibration, workers=workers,
+        fault_seed=FAULT_SEED, calibration_logits=calibration,
     )
+    return PipelineEngine(factory, workers=workers)
 
 
 class StubEngine:
@@ -534,7 +538,7 @@ class TestPipelineEngine:
             ScViTEvalPipeline(other_model, SOFTMAX, calibration_logits=calibration)
         ) != base
 
-    def test_build_engine_exposes_shape_and_flip_prob(self, stack):
+    def test_engine_reads_shape_and_flip_prob_from_factory(self, stack):
         engine = _engine(stack, flip_prob=0.05, workers=2)
         assert engine.image_shape == (8, 8, 3)
         assert engine.flip_prob == 0.05
@@ -574,6 +578,72 @@ class TestPipelineEngine:
             engine.close()
         for output in outputs:
             assert np.array_equal(output, offline_predictions[0.05])
+
+
+def _direct_engine(family, factory):
+    if family == "process":
+        return ShardedProcessEngine(factory, shards=1)
+    if family == "fabric":
+        from repro.fabric.engine import FabricEngine
+
+        return FabricEngine(factory, workers=1)
+    return PipelineEngine(factory, workers=1)
+
+
+@pytest.mark.parametrize("family", ["thread", "process", "fabric"])
+class TestDirectlyBuiltEngines:
+    """Every engine family reads the fault rate and the image shape from its
+    :class:`ReplicaFactory`, so an engine built straight over one cannot
+    tell the service a different story than the replicas it builds."""
+
+    def test_one_image_under_many_indices_matches_offline(self, stack, family):
+        model, test, calibration = stack
+        settings = dict(
+            gelu_output_bsl=GELU_BSL, flip_prob=0.05, fault_seed=FAULT_SEED,
+            calibration_logits=calibration,
+        )
+        repeats = 12
+        images = np.repeat(test.images[:1], repeats, axis=0)
+        offline = ScViTEvalPipeline(model, SOFTMAX, **settings).evaluate(
+            DatasetSplit(images=images, labels=np.zeros(repeats, dtype=np.int64)), batch_size=1
+        )
+        engine = _direct_engine(family, ReplicaFactory(model, SOFTMAX, **settings))
+
+        async def session():
+            service = InferenceService(
+                engine, max_batch=4, max_wait_ms=1.0, cache=PredictionCache()
+            )
+            async with service:
+                return [await service.submit(images[i], index=i) for i in range(repeats)]
+
+        results = asyncio.run(session())
+        # Faults are on, so the index is part of each request's identity:
+        # no index may be answered from another index's cache entry.
+        assert not any(r.cached for r in results)
+        assert [r.prediction for r in results] == offline.predictions.tolist()
+
+    def test_malformed_image_fails_only_its_own_request(
+        self, stack, offline_predictions, family
+    ):
+        model, test, calibration = stack
+        factory = ReplicaFactory(
+            model, SOFTMAX, gelu_output_bsl=GELU_BSL, calibration_logits=calibration
+        )
+        engine = _direct_engine(family, factory)
+
+        async def session():
+            async with InferenceService(engine, max_batch=4, max_wait_ms=20.0) as service:
+                return await asyncio.gather(
+                    service.submit(test.images[0], index=0),
+                    service.submit(np.zeros((4, 4, 3)), index=1),
+                    service.submit(test.images[1], index=1),
+                    return_exceptions=True,
+                )
+
+        first, malformed, second = asyncio.run(session())
+        assert isinstance(malformed, ValueError)
+        assert first.prediction == offline_predictions[0.0][0]
+        assert second.prediction == offline_predictions[0.0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -715,13 +785,44 @@ class TestServeCli:
         assert excinfo.value.code == 0
         assert repro.__version__ in capsys.readouterr().out
 
-    def test_serve_parser_defaults(self):
+    def test_serve_parser_defaults(self, tmp_path):
+        import argparse
+
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["serve", "--no-cache", "--max-batch", "4"])
-        assert args.transport == "stdio"
-        assert args.max_batch == 4
+        parser = build_parser()
+        args = parser.parse_args(["serve"])
+        assert args.spec is None
         assert args.func.__name__ == "cmd_serve"
+        spec_path = tmp_path / "deployment.json"
+        assert parser.parse_args(["serve", "--spec", str(spec_path)]).spec == spec_path
+        # The spec file is the whole deployment: --spec is the only option.
+        subparsers = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        options = {
+            option
+            for action in subparsers.choices["serve"]._actions
+            for option in action.option_strings
+        }
+        assert options == {"-h", "--help", "--spec"}
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "--no-cache"])
+
+    def test_cmd_serve_without_spec_serves_the_default_spec(self, monkeypatch):
+        from repro.cli import main
+        from repro.serve import deploy
+
+        built = []
+
+        def capture(spec):
+            built.append(spec)
+            raise ValueError("captured")
+
+        monkeypatch.setattr(deploy, "build_deployment", capture)
+        with pytest.raises(SystemExit, match="captured"):
+            main(["serve"])
+        assert built == [ServeSpec()]
 
     def test_serve_stdio_transport_in_process(self, monkeypatch, capsys):
         """serve_stdio: JSONL on (patched) stdin/stdout until EOF."""
@@ -767,11 +868,13 @@ class TestServeCli:
             + "\n"
         )
         monkeypatch.setattr(_sys, "stdin", io.StringIO(requests))
-        exit_code = main([
-            "serve", "--embed-dim", "16", "--heads", "2", "--train-size", "8",
-            "--calibration-images", "4", "--max-wait-ms", "1",
-            "--cache-dir", str(tmp_path / "cache"),
-        ])
+        spec = ServeSpec(
+            embed_dim=16, heads=2, train_size=8, calibration_images=4, max_wait_ms=1.0,
+            cache_dir=str(tmp_path / "cache"),
+        )
+        spec_path = tmp_path / "deployment.json"
+        spec_path.write_text(spec.to_json())
+        exit_code = main(["serve", "--spec", str(spec_path)])
         assert exit_code == 0
         responses = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         by_id = {r["id"]: r for r in responses}
@@ -811,10 +914,14 @@ class TestServeCli:
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        spec = ServeSpec(
+            embed_dim=16, heads=2, train_size=8, calibration_images=4,
+            cache_dir=str(tmp_path / "cache"),
+        )
+        spec_path = tmp_path / "deployment.json"
+        spec_path.write_text(spec.to_json())
         completed = subprocess.run(
-            [_sys.executable, "-m", "repro", "serve", "--embed-dim", "16", "--heads", "2",
-             "--train-size", "8", "--calibration-images", "4",
-             "--cache-dir", str(tmp_path / "cache")],
+            [_sys.executable, "-m", "repro", "serve", "--spec", str(spec_path)],
             input=requests, capture_output=True, text=True, timeout=120, env=env,
         )
         assert completed.returncode == 0, completed.stderr

@@ -82,6 +82,31 @@ class TestValidation:
         with pytest.raises(ValueError, match=match):
             ServeSpec(**updates)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cache", "no"), ("cache", 0), ("telemetry", 1),
+            ("flip_prob", "0.05"), ("flip_prob", True),
+            ("port", True), ("port", 80.7), ("port", "8765"),
+            ("max_wait_ms", "2"), ("max_wait_ms", False),
+            ("timeout_s", "30"), ("timeout_s", True),
+            ("name", 7), ("description", None), ("host", 127),
+            ("cache_dir", 0), ("cache_dir", None),
+            ("checkpoint", 5), ("backend", True),
+            ("data_seed", 1.5), ("model_seed", "0"), ("fault_seed", True),
+            ("workers", True), ("gelu_bsl", True), ("max_shards", 2.0),
+        ],
+    )
+    def test_mistyped_field_is_rejected_not_coerced(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServeSpec.from_dict({"kind": SPEC_KIND, "params": {field: value}})
+
+    def test_ints_are_numbers_and_round_trip_as_ints(self):
+        spec = ServeSpec(flip_prob=0, max_wait_ms=1, timeout_s=30)
+        text = spec.to_json()
+        assert '"max_wait_ms": 1,' in text
+        assert ServeSpec.from_json(text).to_json() == text
+
     def test_unknown_params_rejected(self):
         with pytest.raises(ValueError, match="unknown serve spec params"):
             ServeSpec.from_dict({"kind": SPEC_KIND, "params": {"worker_count": 2}})
@@ -101,6 +126,14 @@ class TestExampleFiles:
             # Each shipped file is the spec's own canonical serialisation,
             # so `repro serve --spec` round-trips it byte for byte.
             assert spec.to_json(indent=2) + "\n" == path.read_text(), path.name
+
+    def test_scenario_deployments_load_and_round_trip(self):
+        paths = sorted(EXAMPLES_SPECS.glob("scenario_*.json"))
+        assert paths
+        for path in paths:
+            params = json.loads(path.read_text())["params"]["deployment"]
+            spec = ServeSpec.from_dict({"kind": SPEC_KIND, "params": params})
+            assert json.dumps(spec.to_dict()["params"]) == json.dumps(params), path.name
 
     def test_examples_cover_both_engine_families(self):
         engines = {
@@ -193,29 +226,3 @@ class TestCliIntegration:
         monkeypatch.setattr(_sys, "stdin", io.StringIO(""))  # EOF ends the session
         assert main(["run", str(spec_path)]) == 0
         assert "tiny" in capsys.readouterr().err or True  # label printed to stderr/stdout
-
-    def test_spec_wins_over_flags(self, tmp_path):
-        """--spec describes the whole deployment; flags are not mixed in."""
-        from repro.cli import _serve_spec_from_args, build_parser
-
-        spec = ServeSpec(**TINY, workers=3)
-        spec_path = tmp_path / "deployment.json"
-        spec_path.write_text(spec.to_json(indent=2) + "\n")
-        args = build_parser().parse_args(
-            ["serve", "--spec", str(spec_path), "--serve-workers", "9"]
-        )
-        assert _serve_spec_from_args(args) == spec
-
-    def test_flags_build_equivalent_spec(self):
-        from repro.cli import _serve_spec_from_args, build_parser
-
-        args = build_parser().parse_args(
-            ["serve", "--engine", "process", "--serve-workers", "2",
-             "--max-shards", "4", "--flip-prob", "0.05", "--no-cache"]
-        )
-        spec = _serve_spec_from_args(args)
-        assert spec.engine == "process"
-        assert spec.workers == 2
-        assert spec.max_shards == 4
-        assert spec.flip_prob == 0.05
-        assert spec.cache is False

@@ -463,7 +463,7 @@ class TestInertness:
         assert cache.counters() == {"hits": 1, "misses": 1, "stores": 1}
 
     def test_predictions_bit_identical_with_telemetry_on_vs_off(self):
-        from repro.serve import InferenceService, build_engine
+        from repro.serve import InferenceService, PipelineEngine, ReplicaFactory
         from repro.core.softmax_circuit import SoftmaxCircuitConfig
         from repro.nn.vit import CompactVisionTransformer, ViTConfig
         from repro.training.datasets import SyntheticImageDataset
@@ -479,7 +479,7 @@ class TestInertness:
 
         def serve_all() -> list:
             async def session():
-                engine = build_engine(model, softmax, workers=1)
+                engine = PipelineEngine(ReplicaFactory(model, softmax), workers=1)
                 service = InferenceService(engine, max_batch=3, max_wait_ms=2.0, cache=None)
                 async with service:
                     results = await asyncio.gather(
@@ -596,7 +596,13 @@ def _parse_prometheus(text: str) -> dict:
 
 class TestMetricsEndpoint:
     def test_render_metrics_serves_cache_and_kernel_counters(self):
-        from repro.serve import InferenceService, PredictionCache, build_engine, render_metrics
+        from repro.serve import (
+            InferenceService,
+            PipelineEngine,
+            PredictionCache,
+            ReplicaFactory,
+            render_metrics,
+        )
         from repro.core.softmax_circuit import SoftmaxCircuitConfig
         from repro.nn.vit import CompactVisionTransformer, ViTConfig
         from repro.training.datasets import SyntheticImageDataset
@@ -614,7 +620,7 @@ class TestMetricsEndpoint:
         async def session() -> str:
             # flip_prob > 0 routes per-image fault masks through the packed
             # SC kernels, which is what feeds the kernel profiler.
-            engine = build_engine(model, softmax, workers=1, flip_prob=0.05)
+            engine = PipelineEngine(ReplicaFactory(model, softmax, flip_prob=0.05), workers=1)
             service = InferenceService(
                 engine, max_batch=4, max_wait_ms=2.0, cache=PredictionCache()
             )
@@ -637,7 +643,7 @@ class TestMetricsEndpoint:
     def test_http_transport_routes_get_metrics(self):
         import urllib.request
 
-        from repro.serve import InferenceService, build_engine
+        from repro.serve import InferenceService, PipelineEngine, ReplicaFactory
         from repro.serve.transport import serve_http
         from repro.core.softmax_circuit import SoftmaxCircuitConfig
         from repro.nn.vit import CompactVisionTransformer, ViTConfig
@@ -650,7 +656,7 @@ class TestMetricsEndpoint:
                                        by=8, alpha_y=0.03, s1=16, s2=4)
 
         async def session():
-            engine = build_engine(model, softmax, workers=1)
+            engine = PipelineEngine(ReplicaFactory(model, softmax), workers=1)
             service = InferenceService(engine, max_batch=2, max_wait_ms=1.0, cache=None)
             async with service:
                 server = await serve_http(service, "127.0.0.1", 0)
