@@ -3,7 +3,7 @@
 PYTEST = PYTHONPATH=src python -m pytest
 REPRO = PYTHONPATH=src python -m repro
 
-.PHONY: test test-fast test-cov bench bench-check bench-serve serve-smoke scenario-smoke fabric-smoke lint smoke eval-smoke api-check api-snapshot
+.PHONY: test test-fast test-cov bench bench-check bench-serve serve-smoke scenario-smoke fabric-smoke lint smoke eval-smoke api-check api-snapshot golden-check
 
 ## Tier-1 verification: the full suite, fail-fast.
 test:
@@ -70,6 +70,12 @@ api-check:
 ## Refresh the export snapshot after an intentional API change.
 api-snapshot:
 	PYTHONPATH=src python tools/check_api_surface.py --update
+
+## Full-universe golden check: every image perfbench/golden.json covers
+## (16384 fault-free + 8 eval-faults windows) evaluated at batch 256 must
+## match its committed prediction; exits 1 on any mismatch (CI job).
+golden-check:
+	python3 tools/check_golden.py
 
 ## Orchestrator smoke: a reduced parallel DSE sweep + self-checks (CI).
 smoke:

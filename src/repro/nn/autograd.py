@@ -57,11 +57,16 @@ def batch_invariant_matmul():
     row hits the gemv path, a ``(B, K)`` block hits gemm), and those kernels
     accumulate the ``K`` reduction in different orders — so the *same* logical
     row can round differently depending on how many rows ride along in the
-    batch.  Inside this context, matmuls between stacked operands run through
-    ``np.einsum``, whose per-element reduction order depends only on the
-    contracted axis; splitting a batch into chunks of any size then produces
-    bit-identical results.  The eval pipeline evaluates whole dataset splits
-    under this mode so its cached accuracies never depend on ``batch_size``.
+    batch.  Stacked ``matmul`` never has that problem: for operands with
+    leading batch axes numpy calls one BLAS product per trailing matrix, so an
+    image's result depends only on its own matrix shape, never on how many
+    images ride along.  The one batch-dependent case is a 2-D ``(B, K)``
+    operand (the classifier head on ``(B, embed)``), where a single gemm
+    would block the rows together; inside this context each such row runs
+    as its own ``(1, K)`` product (one gemv per row).  Splitting a batch into
+    chunks of any size then produces bit-identical results.  The eval
+    pipeline and every serving replica run under this mode, so cached
+    accuracies and served predictions never depend on ``batch_size``.
     """
     global _BATCH_INVARIANT_MATMUL
     previous = _BATCH_INVARIANT_MATMUL
@@ -73,9 +78,14 @@ def batch_invariant_matmul():
 
 
 def matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` with the batch-invariant einsum path when the mode is on."""
-    if _BATCH_INVARIANT_MATMUL and a.ndim >= 2 and b.ndim >= 2:
-        return np.einsum("...ij,...jk->...ik", a, b)
+    """``a @ b``; with the mode on, a 2-D ``a @ b`` runs one row at a time.
+
+    Stacked operands already get one BLAS product per trailing matrix, so
+    only the 2-D case needs rewriting: ``(B, K) @ (K, N)`` becomes ``B``
+    stacked ``(1, K) @ (K, N)`` products.
+    """
+    if _BATCH_INVARIANT_MATMUL and a.ndim == 2 and b.ndim == 2:
+        return np.matmul(a[:, None, :], b)[:, 0, :]
     return a @ b
 
 

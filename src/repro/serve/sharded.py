@@ -46,6 +46,7 @@ import multiprocessing as mp
 import os
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional
 
@@ -98,6 +99,14 @@ def unpack_frame(blob: bytes):
 # --------------------------------------------------------------------------
 
 
+#: Parent-side ends of every shard pipe in this process, across engines
+#: (file descriptors are per process, not per engine).  A forked child
+#: inherits all of them and must close them: while any copy stays open, its
+#: own pipe never reaches EOF when the parent dies, and the shard outlives
+#: the server.
+_PARENT_ENDS = weakref.WeakSet()
+
+
 def _shard_main(conn, factory: ReplicaFactory) -> None:
     """Worker-process loop: build one replica, serve predict frames until stop.
 
@@ -105,6 +114,8 @@ def _shard_main(conn, factory: ReplicaFactory) -> None:
     every shard's pipeline state is provably independent; bit-identity
     across shards follows from :class:`ReplicaFactory` determinism.
     """
+    for end in list(_PARENT_ENDS):  # empty under spawn: nothing is inherited
+        end.close()
     tracer: Optional[Tracer] = None
     profiler = None
     try:
@@ -316,6 +327,7 @@ class ShardedProcessEngine:
         self._next_slot += 1
         generation = self.spawned
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        _PARENT_ENDS.add(parent_conn)
         process = self._ctx.Process(
             target=_shard_main,
             args=(child_conn, self._factory),

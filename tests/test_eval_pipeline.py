@@ -160,6 +160,72 @@ class TestBatchInvariantMatmul:
         assert np.array_equal(full, rows)
         assert np.array_equal(full, chunks)
 
+    def test_faulted_forward_is_chunk_invariant(self, eval_setup):
+        """Under fault injection (per-image seeded masks at every SC site)
+        the patched forward's logits are bit-identical for any chunking."""
+        pipeline = ScViTEvalPipeline(
+            eval_setup["model"], make_softmax_config(), gelu_output_bsl=4,
+            flip_prob=0.08, fault_seed=13, calibration_logits=eval_setup["calibration"],
+        )
+        images = eval_setup["test"].images[:9]
+
+        def logits(start, stop):
+            with pipeline._patched_model() as model, no_grad(), batch_invariant_matmul():
+                pipeline.fault_model.begin_batch(np.arange(start, stop))
+                return model(Tensor(images[start:stop])).data
+
+        full = logits(0, 9)
+        for size in (1, 2, 4):
+            chunked = np.concatenate([logits(i, min(i + size, 9)) for i in range(0, 9, size)])
+            assert chunked.tobytes() == full.tobytes()
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matmul_data_is_chunk_invariant_for_every_model_layout(self, data):
+        """Every operand layout the ViT forward feeds ``matmul_data``, cut
+        into chunks at any offset, reproduces the full batch bit for bit and
+        stays within rounding of an einsum oracle."""
+        from repro.nn.autograd import matmul_data
+
+        layout = data.draw(st.sampled_from(["linear", "scores", "context", "head", "head_view"]))
+        total = data.draw(st.integers(1, 40), label="rows in the backing array")
+        offset = data.draw(st.integers(0, total - 1), label="batch offset")
+        batch = data.draw(st.integers(1, total - offset), label="batch size")
+        tokens = data.draw(st.integers(1, 18), label="tokens")
+        heads = data.draw(st.integers(1, 4), label="heads")
+        head_dim = data.draw(st.integers(1, 12), label="head_dim")
+        dim = heads * head_dim
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        weight = rng.standard_normal((data.draw(st.integers(1, 40), label="out"), dim))
+        if layout == "linear":  # x @ weight.T on (B, tokens, dim)
+            a, b = rng.standard_normal((total, tokens, dim)), weight.swapaxes(-1, -2)
+        elif layout in ("scores", "context"):  # q/k/v views of the qkv transpose
+            qkv = rng.standard_normal((total, tokens, 3, heads, head_dim)).transpose(2, 0, 3, 1, 4)
+            query, key, value = qkv[0], qkv[1], qkv[2]
+            if layout == "scores":
+                a, b = query, key.swapaxes(-1, -2)
+            else:
+                a, b = rng.random((total, heads, tokens, tokens)), value
+        elif layout == "head":  # (B, embed) @ weight.T
+            a, b = rng.standard_normal((total, dim)), weight.swapaxes(-1, -2)
+        else:  # the class token sliced out of (B, tokens, embed)
+            a, b = rng.standard_normal((total, tokens, dim))[:, 0, :], weight.swapaxes(-1, -2)
+
+        def operands(start, stop):  # a stacked b is cut with the batch; a 2-D one is shared
+            return a[start:stop], (b[start:stop] if b.ndim > 2 else b)
+
+        stop = offset + batch
+        chunk = data.draw(st.integers(1, batch), label="chunk size")
+        with batch_invariant_matmul():
+            full = matmul_data(*operands(offset, stop))
+            chunked = np.concatenate(
+                [matmul_data(*operands(i, min(i + chunk, stop))) for i in range(offset, stop, chunk)]
+            )
+        assert chunked.tobytes() == full.tobytes()
+        oracle = np.einsum("...ij,...jk->...ik", *operands(offset, stop))
+        assert full.shape == oracle.shape
+        assert np.max(np.abs(full - oracle)) <= 1e-12 * np.max(np.abs(full))
+
     def test_mode_is_scoped_to_the_context(self):
         from repro.nn import autograd
 

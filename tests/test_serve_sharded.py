@@ -10,6 +10,14 @@ and the no-retry contract for deterministic worker errors.
 """
 
 import asyncio
+import multiprocessing as mp
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -448,3 +456,70 @@ class TestAutoscaling:
         predictions, snapshot = asyncio.run(session())
         assert predictions == [i % 7 for i in range(12)]
         assert snapshot["engine"]["lifecycle"]["spawned"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# Shards die with their server
+# ---------------------------------------------------------------------------
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return False
+    return "State:\tZ" not in status
+
+
+_SERVER_SCRIPT = textwrap.dedent(
+    """
+    import time
+    from repro.serve import ServeSpec, ShardedProcessEngine, build_replica_factory
+
+    spec = ServeSpec(train_size=8, layers=1, embed_dim=16, heads=2, calibration_images=4)
+    engine = ShardedProcessEngine(build_replica_factory(spec), shards=2)
+    engine.start()
+    print(" ".join(str(shard.process.pid) for shard in engine._shards.values()), flush=True)
+    time.sleep(120)
+    """
+)
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc") or "fork" not in mp.get_all_start_methods(),
+    reason="needs fork-started shards and /proc",
+)
+class TestShardLifetime:
+    def test_sigkilled_server_takes_its_shards_with_it(self, tmp_path):
+        """A forked shard inherits the parent ends of its own pipe and of
+        every shard forked before it.  Unless it closes them, its
+        ``recv_bytes`` never sees EOF and it outlives a killed server."""
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        stderr_path = tmp_path / "server.stderr"
+        with open(stderr_path, "w") as stderr:
+            server = subprocess.Popen(
+                [sys.executable, "-c", _SERVER_SCRIPT],
+                stdout=subprocess.PIPE, stderr=stderr, text=True, env=env,
+            )
+        try:
+            line = server.stdout.readline()
+        finally:
+            server.kill()
+            server.wait(timeout=10)
+            server.stdout.close()
+        pids = [int(pid) for pid in line.split()]
+        assert len(pids) == 2, stderr_path.read_text()
+        deadline = time.monotonic() + 5.0
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        leftover = [pid for pid in pids if _running(pid)]
+        for pid in leftover:  # never leak a worker, even when failing
+            os.kill(pid, signal.SIGKILL)
+        assert not leftover, f"shards {leftover} outlived their SIGKILLed server"
