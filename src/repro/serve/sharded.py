@@ -46,8 +46,8 @@ import multiprocessing as mp
 import os
 import threading
 import time
-import weakref
 from concurrent.futures import ThreadPoolExecutor
+from multiprocessing import util
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -99,14 +99,6 @@ def unpack_frame(blob: bytes):
 # --------------------------------------------------------------------------
 
 
-#: Parent-side ends of every shard pipe in this process, across engines
-#: (file descriptors are per process, not per engine).  A forked child
-#: inherits all of them and must close them: while any copy stays open, its
-#: own pipe never reaches EOF when the parent dies, and the shard outlives
-#: the server.
-_PARENT_ENDS = weakref.WeakSet()
-
-
 def _shard_main(conn, factory: ReplicaFactory) -> None:
     """Worker-process loop: build one replica, serve predict frames until stop.
 
@@ -114,8 +106,6 @@ def _shard_main(conn, factory: ReplicaFactory) -> None:
     every shard's pipeline state is provably independent; bit-identity
     across shards follows from :class:`ReplicaFactory` determinism.
     """
-    for end in list(_PARENT_ENDS):  # empty under spawn: nothing is inherited
-        end.close()
     tracer: Optional[Tracer] = None
     profiler = None
     try:
@@ -327,7 +317,10 @@ class ShardedProcessEngine:
         self._next_slot += 1
         generation = self.spawned
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        _PARENT_ENDS.add(parent_conn)
+        # A forked child (this shard or a later one) inherits this end; it
+        # must close it, or the shard's pipe never reaches EOF when the
+        # server dies and the shard outlives it.
+        util.register_after_fork(parent_conn, type(parent_conn).close)
         process = self._ctx.Process(
             target=_shard_main,
             args=(child_conn, self._factory),

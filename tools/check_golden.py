@@ -3,8 +3,7 @@
 
 Run from the repo root (``make golden-check`` wraps it):
 
-    python3 tools/check_golden.py                  # batch 256
-    python3 tools/check_golden.py --batch-size 64
+    python3 tools/check_golden.py
 
 A perfbench run only compares the images its seed happens to send.  This
 check evaluates every image the goldens cover: the whole fault-free
@@ -12,8 +11,8 @@ universe named by ``perfbench/workloads.json`` (16384 images) and all eight
 1024-image ``eval-faults`` windows, on the same recipe ``make_golden.py``
 used (``ScViTEvalPipeline.evaluate`` on ``build_replica_factory(spec)()``).
 Because evaluation is batch invariant, a large batch must reproduce the
-per-image goldens bit for bit, so the check runs at ``--batch-size``
-rather than one image at a time.
+per-image goldens bit for bit, so the check runs at ``BATCH_SIZE`` rather
+than one image at a time.
 
 It only reads ``perfbench/workloads.json`` and ``perfbench/golden.json``,
 and exits 1 on any mismatch (or on a golden that fails its own digest).
@@ -21,7 +20,6 @@ and exits 1 on any mismatch (or on a golden that fails its own digest).
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -32,34 +30,32 @@ import numpy as np  # noqa: E402
 
 import definitions as defs  # noqa: E402  (perfbench's loader, found via the path above)
 
+BATCH_SIZE = 256
 
-def golden_predictions(pipeline, universe, definition, batch_size: int):
-    """Predictions for every image the workload's golden covers, in golden order.
 
-    A workload with ``windows`` evaluates each ``images``-sized window of the
-    universe as its own split (split indices restart at 0, which seeds the
-    faults); any other covers the whole universe as one split.
+def golden_predictions(pipeline, universe, table, golden_name: str):
+    """Predictions for every image the golden covers, in golden order.
+
+    Same rule as ``perfbench/make_golden.py``: the ``eval-faults`` golden
+    evaluates each ``images``-sized window of the universe as its own split
+    (split indices restart at 0, which seeds the faults); any other covers
+    the whole universe as one split.
     """
     from repro.training.datasets import DatasetSplit
 
-    if "windows" not in definition:
-        return pipeline.evaluate(universe, batch_size=batch_size).predictions
+    if golden_name != "eval-faults":
+        return pipeline.evaluate(universe, batch_size=BATCH_SIZE).predictions
+    definition = table["workloads"]["eval-faults"]
     size = int(definition["images"])
     parts = []
     for window in range(int(definition["windows"])):
         rows = slice(window * size, (window + 1) * size)
         split = DatasetSplit(universe.images[rows], universe.labels[rows])
-        parts.append(pipeline.evaluate(split, batch_size=batch_size).predictions)
+        parts.append(pipeline.evaluate(split, batch_size=BATCH_SIZE).predictions)
     return np.concatenate(parts)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--batch-size", type=int, default=256, help="evaluation batch size (default 256)")
-    args = parser.parse_args(argv)
-    if args.batch_size <= 0:
-        parser.error("--batch-size must be positive")
-
+def main() -> int:
     defs.import_program()
     from repro.serve import build_replica_factory
 
@@ -79,7 +75,7 @@ def main(argv=None) -> int:
             return 1
         started = time.perf_counter()
         pipeline = build_replica_factory(defs.serve_spec(definition))()
-        predictions = golden_predictions(pipeline, universe, definition, args.batch_size)
+        predictions = golden_predictions(pipeline, universe, table, golden_name)
         if predictions.size != len(golden):
             print(
                 f"golden-check: {golden_name}: {predictions.size} predictions for {len(golden)} golden images",
@@ -90,7 +86,7 @@ def main(argv=None) -> int:
         mismatches = int(wrong.size)
         print(
             f"{golden_name} (via {name}): {mismatches} of {len(golden)} mismatches"
-            f" at batch {args.batch_size} in {time.perf_counter() - started:.1f} s"
+            f" at batch {BATCH_SIZE} in {time.perf_counter() - started:.1f} s"
             + (f"; first at {wrong[:10].tolist()}" if mismatches else "")
         )
         total_images += len(golden)
